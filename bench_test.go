@@ -190,12 +190,15 @@ func benchGeneration(b *testing.B, op string) {
 	b.Helper()
 	eng := newBenchEngine(b, op)
 	b.ResetTimer()
-	evalShare := 0.0
+	var evalTime, totalTime time.Duration
 	for i := 0; i < b.N; i++ {
 		gs := eng.Step()
-		if gs.TotalTime > 0 {
-			evalShare = float64(gs.EvalTime) / float64(gs.TotalTime)
-		}
+		evalTime += gs.EvalTime
+		totalTime += gs.TotalTime
+	}
+	evalShare := 0.0
+	if totalTime > 0 {
+		evalShare = float64(evalTime) / float64(totalTime)
 	}
 	b.ReportMetric(100*evalShare, "eval_share_%")
 }

@@ -215,6 +215,11 @@
 //   - internal/islands — the island-model coordinator
 //   - internal/experiment — the paper's experiments 1–3 as a harness
 //
+// Dataset (an alias of the internal/dataset type) is stored column-major:
+// Dataset.Column no longer copies but returns a read-only view of the
+// column, and Dataset.Clone is copy-on-write per column, so an offspring
+// copies only the columns its edits touch.
+//
 // # Incremental (delta) evaluation
 //
 // The paper's timing table (§3.2) shows fitness evaluation dominating run

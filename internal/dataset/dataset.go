@@ -8,11 +8,19 @@
 // attribute domain rather than raw strings — semantically identical (genes
 // are still entire categories, never partial strings, cf. paper §2.1) but
 // far cheaper to copy and compare.
+//
+// Datasets are stored column-major, one []int per attribute, because every
+// measure reads whole attributes: Column hands out a read-only view of a
+// column without copying it. Clones are copy-on-write per column, so an
+// offspring that differs from its parent in a few protected cells copies
+// only the columns holding them and shares the rest.
 package dataset
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // Attribute describes one categorical variable: its name, its finite domain
@@ -197,10 +205,17 @@ func (s *Schema) Cardinalities(attrs []int) []int {
 // Dataset is a table of categorical microdata: Rows() records over the
 // schema's attributes, each cell a category index into the attribute's
 // domain.
+//
+// Concurrent Clone and read calls on one Dataset are safe; Set is not
+// safe concurrently with any other call on the same Dataset.
 type Dataset struct {
 	schema *Schema
 	rows   int
-	cells  []int // row-major: cells[r*NumAttrs()+c]
+	cols   [][]int // column-major: cols[c][r]
+	// shared[c] is set once cols[c] may be referenced by another Dataset;
+	// Set copies such a column before writing. Clone sets the flags of its
+	// source too, from any number of goroutines at once, hence atomics.
+	shared []atomic.Bool
 }
 
 // New returns a dataset of the given number of rows with every cell set to
@@ -212,7 +227,13 @@ func New(schema *Schema, rows int) *Dataset {
 	if rows < 0 {
 		panic("dataset: negative row count")
 	}
-	return &Dataset{schema: schema, rows: rows, cells: make([]int, rows*schema.NumAttrs())}
+	a := schema.NumAttrs()
+	cells := make([]int, rows*a)
+	cols := make([][]int, a)
+	for c := range cols {
+		cols[c] = cells[c*rows : (c+1)*rows : (c+1)*rows]
+	}
+	return &Dataset{schema: schema, rows: rows, cols: cols, shared: make([]atomic.Bool, a)}
 }
 
 // FromRecords builds a dataset from string records; every value must belong
@@ -229,7 +250,7 @@ func FromRecords(schema *Schema, records [][]string) (*Dataset, error) {
 			if !ok {
 				return nil, fmt.Errorf("dataset: record %d: value %q not in domain of %s", r, v, schema.Attr(c).Name())
 			}
-			d.cells[r*a+c] = idx
+			d.cols[c][r] = idx
 		}
 	}
 	return d, nil
@@ -246,18 +267,23 @@ func (d *Dataset) Cols() int { return d.schema.NumAttrs() }
 
 // At returns the category index at (row, col).
 func (d *Dataset) At(row, col int) int {
-	return d.cells[row*d.schema.NumAttrs()+col]
+	return d.cols[col][row]
 }
 
 // Set assigns the category index v at (row, col). It panics if v is outside
 // the attribute's domain: a cell outside the domain can only be a bug, and
-// every downstream measure would silently miscount.
+// every downstream measure would silently miscount. The first Set into a
+// column shared with a clone copies that column.
 func (d *Dataset) Set(row, col, v int) {
 	if v < 0 || v >= d.schema.Attr(col).Cardinality() {
 		panic(fmt.Sprintf("dataset: value %d out of domain of %s (cardinality %d)",
 			v, d.schema.Attr(col).Name(), d.schema.Attr(col).Cardinality()))
 	}
-	d.cells[row*d.schema.NumAttrs()+col] = v
+	if d.shared[col].Load() {
+		d.cols[col] = slices.Clone(d.cols[col])
+		d.shared[col].Store(false)
+	}
+	d.cols[col][row] = v
 }
 
 // Value returns the category label at (row, col).
@@ -265,11 +291,22 @@ func (d *Dataset) Value(row, col int) string {
 	return d.schema.Attr(col).Category(d.At(row, col))
 }
 
-// Clone returns a deep copy sharing the (immutable) schema.
+// Clone returns a copy-on-write copy sharing the (immutable) schema and,
+// until either side writes one, every column: the clone costs one slice
+// header per attribute, and the first Set into a column, on either side,
+// copies that column alone. Clone may run on one Dataset from several
+// goroutines at once, as long as none of them calls Set on it.
 func (d *Dataset) Clone() *Dataset {
-	cells := make([]int, len(d.cells))
-	copy(cells, d.cells)
-	return &Dataset{schema: d.schema, rows: d.rows, cells: cells}
+	out := &Dataset{schema: d.schema, rows: d.rows, cols: slices.Clone(d.cols), shared: make([]atomic.Bool, len(d.cols))}
+	for c := range d.cols {
+		// Write a flag only when it changes: concurrent clones of an
+		// already shared source then only read it.
+		if !d.shared[c].Load() {
+			d.shared[c].Store(true)
+		}
+		out.shared[c].Store(true)
+	}
+	return out
 }
 
 // Equal reports whether both datasets have structurally equal schemas, the
@@ -281,28 +318,27 @@ func (d *Dataset) Equal(o *Dataset) bool {
 	if d.schema != o.schema && !d.schema.EqualStructure(o.schema) {
 		return false
 	}
-	for i, v := range d.cells {
-		if o.cells[i] != v {
+	for c, col := range d.cols {
+		if !sameColumn(col, o.cols[c]) && !slices.Equal(col, o.cols[c]) {
 			return false
 		}
 	}
 	return true
 }
 
-// Column returns a copy of column c.
+// Column returns column c as a borrowed, read-only view of the dataset's
+// storage: it allocates nothing. The caller must not write through it,
+// and it stays a faithful view only until the next Set into column c of
+// this dataset; callers that need to modify or keep a column across such
+// writes take a copy (slices.Clone).
 func (d *Dataset) Column(c int) []int {
-	out := make([]int, d.rows)
-	d.ColumnInto(out, c)
-	return out
+	col := d.cols[c]
+	return col[:len(col):len(col)]
 }
 
-// ColumnInto fills dst (len >= Rows) with column c, avoiding allocation in
-// hot paths.
-func (d *Dataset) ColumnInto(dst []int, c int) {
-	a := d.schema.NumAttrs()
-	for r := 0; r < d.rows; r++ {
-		dst[r] = d.cells[r*a+c]
-	}
+// sameColumn reports whether a and b are the same (shared) storage.
+func sameColumn(a, b []int) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Records materializes the dataset back to string records.
@@ -332,12 +368,14 @@ func (d *Dataset) Mismatches(o *Dataset, attrs []int) int {
 			attrs[i] = i
 		}
 	}
-	a := d.schema.NumAttrs()
 	n := 0
-	for r := 0; r < d.rows; r++ {
-		base := r * a
-		for _, c := range attrs {
-			if d.cells[base+c] != o.cells[base+c] {
+	for _, c := range attrs {
+		dc, oc := d.cols[c], o.cols[c]
+		if sameColumn(dc, oc) {
+			continue
+		}
+		for r, v := range dc {
+			if v != oc[r] {
 				n++
 			}
 		}
@@ -347,10 +385,9 @@ func (d *Dataset) Mismatches(o *Dataset, attrs []int) int {
 
 // Validate checks that every cell lies within its attribute's domain.
 func (d *Dataset) Validate() error {
-	a := d.schema.NumAttrs()
 	for r := 0; r < d.rows; r++ {
-		for c := 0; c < a; c++ {
-			v := d.cells[r*a+c]
+		for c, col := range d.cols {
+			v := col[r]
 			if v < 0 || v >= d.schema.Attr(c).Cardinality() {
 				return fmt.Errorf("dataset: cell (%d,%d) value %d outside domain of %s", r, c, v, d.schema.Attr(c).Name())
 			}

@@ -208,24 +208,23 @@ func TestSchemaEqualStructure(t *testing.T) {
 	}
 }
 
-func TestColumnAndColumnInto(t *testing.T) {
+func TestColumnMatchesAt(t *testing.T) {
 	s := testSchema(t)
 	d, _ := FromRecords(s, [][]string{{"red", "S"}, {"blue", "L"}, {"green", "M"}})
-	col := d.Column(1)
-	want := []int{0, 2, 1}
-	for i := range want {
-		if col[i] != want[i] {
-			t.Fatalf("Column(1) = %v, want %v", col, want)
+	d.Clone().Set(2, 0, 0) // a clone's write leaves d's views alone
+	for c := 0; c < d.Cols(); c++ {
+		col := d.Column(c)
+		if len(col) != d.Rows() || cap(col) != d.Rows() {
+			t.Fatalf("Column(%d) has len %d cap %d, want %d", c, len(col), cap(col), d.Rows())
+		}
+		for r := range col {
+			if col[r] != d.At(r, c) {
+				t.Fatalf("Column(%d)[%d] = %d, At = %d", c, r, col[r], d.At(r, c))
+			}
 		}
 	}
-	dst := make([]int, 3)
-	d.ColumnInto(dst, 0)
-	if dst[0] != 0 || dst[1] != 2 || dst[2] != 1 {
-		t.Fatalf("ColumnInto = %v", dst)
-	}
-	col[0] = 99
-	if d.At(0, 1) != 0 {
-		t.Fatal("Column leaked internal storage")
+	if got := d.Column(1); got[0] != 0 || got[1] != 2 || got[2] != 1 {
+		t.Fatalf("Column(1) = %v, want [0 2 1]", got)
 	}
 }
 
@@ -347,7 +346,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	s := testSchema(t)
 	d := New(s, 2)
 	// Corrupt through the backdoor.
-	d.cells[3] = 99
+	d.cols[1][1] = 99
 	if err := d.Validate(); err == nil {
 		t.Fatal("Validate missed corruption")
 	}

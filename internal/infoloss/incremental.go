@@ -15,6 +15,8 @@ package infoloss
 // tests assert.
 
 import (
+	"slices"
+
 	"evoprot/internal/dataset"
 	"evoprot/internal/stats"
 )
@@ -128,9 +130,7 @@ func (s *ctbilState) CloneState() State {
 	}
 	out.mc = make([][]int, len(s.mc))
 	for i, col := range s.mc {
-		own := make([]int, len(col))
-		copy(own, col)
-		out.mc[i] = own
+		out.mc[i] = slices.Clone(col)
 	}
 	return out
 }
@@ -147,7 +147,7 @@ func (c *CTBIL) Prepare(orig, masked *dataset.Dataset, attrs []int) State {
 	}
 	st.mc = make([][]int, len(attrs))
 	for a, col := range attrs {
-		st.mc[a] = masked.Column(col)
+		st.mc[a] = slices.Clone(masked.Column(col)) // patched by Apply
 	}
 	subsets := stats.SubsetsUpTo(len(attrs), c.maxDimOrDefault())
 	st.byPos = make([][]int, len(attrs))

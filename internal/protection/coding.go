@@ -37,9 +37,8 @@ func (t *TopCoding) Protect(orig *dataset.Dataset, attrs []int, _ *rand.Rand) (*
 		return nil, err
 	}
 	out := orig.Clone()
-	col := make([]int, orig.Rows())
 	for _, c := range attrs {
-		orig.ColumnInto(col, c)
+		col := orig.Column(c)
 		card := orig.Schema().Attr(c).Cardinality()
 		threshold := stats.Quantile(stats.Freq(col, card), 1-t.Q)
 		for r, v := range col {
@@ -78,9 +77,8 @@ func (b *BottomCoding) Protect(orig *dataset.Dataset, attrs []int, _ *rand.Rand)
 		return nil, err
 	}
 	out := orig.Clone()
-	col := make([]int, orig.Rows())
 	for _, c := range attrs {
-		orig.ColumnInto(col, c)
+		col := orig.Column(c)
 		card := orig.Schema().Attr(c).Cardinality()
 		threshold := stats.Quantile(stats.Freq(col, card), b.Q)
 		for r, v := range col {

@@ -40,9 +40,8 @@ func (p *PRAM) Protect(orig *dataset.Dataset, attrs []int, rng *rand.Rand) (*dat
 		return nil, fmt.Errorf("protection: pram requires an RNG")
 	}
 	out := orig.Clone()
-	col := make([]int, orig.Rows())
 	for _, c := range attrs {
-		orig.ColumnInto(col, c)
+		col := orig.Column(c)
 		card := orig.Schema().Attr(c).Cardinality()
 		freq := stats.Freq(col, card)
 		total := 0

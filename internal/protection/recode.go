@@ -38,7 +38,6 @@ func (g *GlobalRecoding) Protect(orig *dataset.Dataset, attrs []int, _ *rand.Ran
 		return nil, err
 	}
 	out := orig.Clone()
-	col := make([]int, orig.Rows())
 	for _, c := range attrs {
 		card := orig.Schema().Attr(c).Cardinality()
 		h, err := hierarchy.Auto(card, 2)
@@ -49,7 +48,7 @@ func (g *GlobalRecoding) Protect(orig *dataset.Dataset, attrs []int, _ *rand.Ran
 		if max := h.NumLevels() - 1; level > max {
 			level = max
 		}
-		orig.ColumnInto(col, c)
+		col := orig.Column(c)
 		recode := h.Recode(level, stats.Freq(col, card))
 		for r, v := range col {
 			out.Set(r, c, recode[v])

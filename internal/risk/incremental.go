@@ -229,13 +229,7 @@ type dbrlState struct {
 
 // CloneState implements State.
 func (s *dbrlState) CloneState() State {
-	out := &dbrlState{n: s.n, stride: s.stride, attrs: s.attrs, pos: s.pos, oc: s.oc, tables: s.tables}
-	out.mc = make([][]int, len(s.mc))
-	for a, col := range s.mc {
-		own := make([]int, len(col))
-		copy(own, col)
-		out.mc[a] = own
-	}
+	out := &dbrlState{n: s.n, stride: s.stride, attrs: s.attrs, pos: s.pos, oc: s.oc, mc: ownColumns(s.mc), tables: s.tables}
 	out.best = append([]int64(nil), s.best...)
 	out.count = append([]int32(nil), s.count...)
 	out.trueDist = append([]int64(nil), s.trueDist...)
@@ -253,7 +247,7 @@ func (dl *DistanceLinkage) Prepare(orig, masked *dataset.Dataset, attrs []int) S
 	st := &dbrlState{
 		n: n, stride: sampleStride(n, dl.MaxRecords),
 		attrs: attrs, pos: make(map[int]int, len(attrs)),
-		oc: columns(orig, attrs), mc: columns(masked, attrs),
+		oc: columns(orig, attrs), mc: ownColumns(columns(masked, attrs)),
 		tables:   distanceTables(orig, attrs),
 		best:     make([]int64, n),
 		count:    make([]int32, n),
@@ -425,12 +419,7 @@ func (s *prlState) CloneState() State {
 		n: s.n, stride: s.stride, sampled: s.sampled,
 		numAttrs: s.numAttrs, iters: s.iters, pos: s.pos, oc: s.oc, ocByCat: s.ocByCat,
 	}
-	out.mc = make([][]int, len(s.mc))
-	for a, col := range s.mc {
-		own := make([]int, len(col))
-		copy(own, col)
-		out.mc[a] = own
-	}
+	out.mc = ownColumns(s.mc)
 	out.cnt = append([]int32(nil), s.cnt...)
 	out.patCount = append([]float64(nil), s.patCount...)
 	out.truePat = append([]int32(nil), s.truePat...)
@@ -462,7 +451,7 @@ func (pl *ProbabilisticLinkage) Prepare(orig, masked *dataset.Dataset, attrs []i
 		n: n, stride: stride, sampled: sampled,
 		numAttrs: len(attrs), iters: iters,
 		pos: make(map[int]int, len(attrs)),
-		oc:  columns(orig, attrs), mc: columns(masked, attrs),
+		oc:  columns(orig, attrs), mc: ownColumns(columns(masked, attrs)),
 		cnt:      make([]int32, sampled*numPat),
 		patCount: make([]float64, numPat),
 		truePat:  make([]int32, sampled),

@@ -1,6 +1,8 @@
 package risk
 
 import (
+	"slices"
+
 	"evoprot/internal/dataset"
 )
 
@@ -57,11 +59,20 @@ func (dl *DistanceLinkage) Risk(orig, masked *dataset.Dataset, attrs []int) floa
 	return 100 * credit / float64(sampledCount(n, stride))
 }
 
-// columns extracts the given columns of d as int slices.
+// columns returns borrowed, read-only views of the given columns of d.
 func columns(d *dataset.Dataset, attrs []int) [][]int {
 	out := make([][]int, len(attrs))
 	for a, c := range attrs {
 		out[a] = d.Column(c)
+	}
+	return out
+}
+
+// ownColumns deep-copies cols, for states that patch their masked columns.
+func ownColumns(cols [][]int) [][]int {
+	out := make([][]int, len(cols))
+	for a, col := range cols {
+		out[a] = slices.Clone(col)
 	}
 	return out
 }

@@ -135,6 +135,34 @@ func (h *remoteHandler) get(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
+// maxBodyPresize caps the buffer readBody allocates up front from a
+// request's Content-Length, so a lying header cannot force a large
+// allocation; a body that really is larger grows past it as it arrives.
+const maxBodyPresize = 16 << 20
+
+// readBody reads a request body into a buffer presized from its declared
+// length: a checkpoint PUT then costs one allocation of its own size
+// instead of io.ReadAll's doubling series.
+func readBody(r *http.Request) ([]byte, error) {
+	size := min(max(r.ContentLength, 0), maxBodyPresize)
+	// One spare byte lets a body that matches its length reach EOF
+	// without growing the buffer.
+	buf := make([]byte, 0, size+1)
+	for {
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
 func (h *remoteHandler) put(w http.ResponseWriter, r *http.Request) {
 	job, key := r.PathValue("job"), r.PathValue("key")
 	release, ok := h.authorize(w, r, job)
@@ -142,7 +170,7 @@ func (h *remoteHandler) put(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	data, err := io.ReadAll(r.Body)
+	data, err := readBody(r)
 	if err != nil {
 		fail(w, err)
 		return
@@ -166,7 +194,7 @@ func (h *remoteHandler) mutate(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	switch op {
 	case "append":
-		data, err := io.ReadAll(r.Body)
+		data, err := readBody(r)
 		if err != nil {
 			fail(w, err)
 			return

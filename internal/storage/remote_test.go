@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -217,5 +219,51 @@ func TestRemoteErrorSurface(t *testing.T) {
 	jobs, err := rt.List()
 	if err != nil || len(jobs) != 1 || !strings.Contains(jobs[0], "j ob") {
 		t.Fatalf("List = %v, %v", jobs, err)
+	}
+}
+
+// TestRemoteHandlerBodyLengthMismatch: Put and Append store exactly the
+// bytes that arrive, whatever Content-Length declared. A body shorter than
+// its header (a lying client) costs at most the presize cap, and one far
+// longer than its header still arrives whole. The handler is driven
+// directly, because a real listener would cut the body at its header.
+func TestRemoteHandlerBodyLengthMismatch(t *testing.T) {
+	long := bytes.Repeat([]byte("0123456789abcdef"), 1<<16) // 1 MiB
+	cases := []struct {
+		name, method, path string
+		declared           int64
+		body               []byte
+	}{
+		{"put short", http.MethodPut, "/j/k", 4 * maxBodyPresize, []byte("short")},
+		{"put long", http.MethodPut, "/j/k", 10, long},
+		{"append short", http.MethodPost, "/j/k/append", 4 * maxBodyPresize, []byte("short")},
+		{"append long", http.MethodPost, "/j/k/append", 10, long},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			be := NewMem()
+			h := NewRemoteHandler(be, RemoteHooks{})
+			req := httptest.NewRequest(tc.method, tc.path, bytes.NewReader(tc.body))
+			req.ContentLength = tc.declared
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			if rec.Code != http.StatusNoContent {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+			}
+			got, err := be.Get("j", "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, tc.body) {
+				t.Fatalf("stored %d bytes, sent %d", len(got), len(tc.body))
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; tc.declared > maxBodyPresize && alloc > maxBodyPresize+1<<20 {
+				t.Fatalf("a %d-byte body declared as %d allocated %d bytes; the presize cap is %d",
+					len(tc.body), tc.declared, alloc, maxBodyPresize)
+			}
+		})
 	}
 }

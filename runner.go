@@ -421,7 +421,10 @@ func WithCheckpoint(path string, every int) Option {
 // atomicity and durability (a storage.Store's Put, an object-store
 // upload, ...). The cadence contract matches WithCheckpoint: a write at
 // every migration barrier once `every` generations have passed since the
-// last one, plus a final write when the run ends. Overrides WithCheckpoint.
+// last one, plus a final write when the run ends. While write runs,
+// the Runner's Generation reports the snapshot's generation marker (what
+// PeekCheckpoint would read back from the bytes), so a sink that tags its
+// writes need not decode them. Overrides WithCheckpoint.
 func WithCheckpointSink(write func(snapshot []byte) error, every int) Option {
 	return func(o *runnerOptions) { o.checkpointSink, o.checkpointEvery = write, every }
 }
